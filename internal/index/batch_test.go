@@ -97,10 +97,12 @@ func TestSearchBatchParallelPath(t *testing.T) {
 }
 
 // TestSearchImplParity proves the bit-stability contract end to end:
-// training an IVF index and querying both backends under each kernel
-// implementation yields bit-identical matches — an index built on an
-// AVX2 machine and served with the portable path (or vice versa) agrees
-// exactly.
+// training IVF and IVFPQ indexes and querying them and Flat under each
+// kernel implementation yields bit-identical matches — an index built
+// on an AVX2 machine and served with the portable path (or vice versa)
+// agrees exactly. IVFPQ at dim 16 with M 4 has 4-float subspaces, so
+// its codebook training, encoding and ADC tables all run the kernel's
+// sub-8-dim Rows path.
 func TestSearchImplParity(t *testing.T) {
 	impls := kernel.Impls()
 	if len(impls) < 2 {
@@ -129,7 +131,12 @@ func TestSearchImplParity(t *testing.T) {
 			restore()
 			t.Fatal(err)
 		}
-		for bi, backend := range []fingerprint.Searcher{NewFlat(db), ivf} {
+		pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: IVFOptions{Nlist: 8, Nprobe: 3, Seed: 4}, M: 4})
+		if err != nil {
+			restore()
+			t.Fatal(err)
+		}
+		for bi, backend := range []fingerprint.Searcher{NewFlat(db), ivf, pq} {
 			got := make([][]fingerprint.Match, len(queries))
 			for qi, q := range queries {
 				got[qi], err = backend.Search(q, qi%classes, 10)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -561,5 +562,96 @@ func TestAppendMatchesRebuild(t *testing.T) {
 	// Appender dimension validation.
 	if err := flat.Append(db.Len(), fingerprint.Linkage{F: make(fingerprint.Fingerprint, 3)}); !errors.Is(err, fingerprint.ErrDimMismatch) {
 		t.Fatalf("bad append: %v", err)
+	}
+}
+
+// TestNearestListsTieBreak pins the probe order: nearest centroid
+// first, equidistant centroids in ascending index order, at a ranking
+// long enough that the sort is not a plain insertion sort.
+func TestNearestListsTieBreak(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 1))
+	cds := make([]cd, 64)
+	for ci := range cds {
+		cds[ci] = cd{ci, float64(ci % 3)}
+	}
+	rng.Shuffle(len(cds), func(i, j int) { cds[i], cds[j] = cds[j], cds[i] })
+	got := nearestLists(cds, 30)
+	if len(got) != 30 {
+		t.Fatalf("nearestLists returned %d entries, want 30", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.d2 > b.d2 || (a.d2 == b.d2 && a.ci > b.ci) {
+			t.Fatalf("entries %d, %d out of (d2, ci) order: %+v then %+v", i-1, i, a, b)
+		}
+	}
+	if got := nearestLists(cds, 100); len(got) != len(cds) {
+		t.Fatalf("nprobe above nlist kept %d entries, want %d", len(got), len(cds))
+	}
+}
+
+// TestEquidistantCentroidsProbeLowerList trains two lists whose
+// centroids sit at (-1, 0) and (1, 0) and queries the origin with
+// nprobe 1: both centroids are exactly 1 away, and both backends must
+// probe list 0 — the lower index — every time.
+func TestEquidistantCentroidsProbeLowerList(t *testing.T) {
+	db, err := fingerprint.NewDB(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		x, src := float32(-1), "west"
+		if i%2 == 1 {
+			x, src = 1, "east"
+		}
+		var h [32]byte
+		h[0] = byte(i)
+		if err := db.Add(fingerprint.Linkage{F: fingerprint.Fingerprint{x, 0}, Y: 0, S: src, H: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := IVFOptions{Nlist: 2, Nprobe: 1, Seed: 5}
+	ivf, err := TrainIVF(db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := TrainIVFPQ(db, IVFPQOptions{IVFOptions: opts, M: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source whose points centroid 0 sits on is the only answer a
+	// list-0 probe can give.
+	want := func(centroids []float32) string {
+		t.Helper()
+		if !slices.Equal(centroids, []float32{-1, 0, 1, 0}) && !slices.Equal(centroids, []float32{1, 0, -1, 0}) {
+			t.Fatalf("centroids %v, want (-1, 0) and (1, 0)", centroids)
+		}
+		if centroids[0] < 0 {
+			return "west"
+		}
+		return "east"
+	}
+	for _, tc := range []struct {
+		name   string
+		s      fingerprint.Searcher
+		source string
+	}{
+		{"ivf", ivf, want(ivf.labels[0].centroids)},
+		{"ivfpq", pq, want(pq.labels[0].centroids)},
+	} {
+		for rep := 0; rep < 3; rep++ {
+			ms, err := tc.s.Search(fingerprint.Fingerprint{0, 0}, 0, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) == 0 {
+				t.Fatalf("%s: no matches", tc.name)
+			}
+			for _, m := range ms {
+				if m.Source != tc.source {
+					t.Fatalf("%s: match from %q, want only list 0's %q: %+v", tc.name, m.Source, tc.source, ms)
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -300,6 +301,19 @@ type cd struct {
 	d2 float64
 }
 
+// nearestLists sorts a centroid ranking nearest first — equidistant
+// centroids in ascending index order, so which lists a query probes is
+// fully determined — and returns its first nprobe entries.
+func nearestLists(cds []cd, nprobe int) []cd {
+	slices.SortFunc(cds, func(a, b cd) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ci, b.ci)
+	})
+	return cds[:min(nprobe, len(cds))]
+}
+
 // Search returns approximately the k nearest same-label entries: it scans
 // the nprobe inverted lists whose centroids are closest to f. Results are
 // exact within the probed lists (same ordering contract as DB.Query).
@@ -360,16 +374,15 @@ func (x *IVF) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int) 
 // centroid ranking and runs the exact top-k scan over their members.
 // Callers hold the read lock.
 func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, cds []cd) []fingerprint.Match {
-	nprobe := min(int(x.nprobe.Load()), c.nlist)
-	sort.Slice(cds, func(a, b int) bool { return cds[a].d2 < cds[b].d2 })
+	probed := nearestLists(cds, int(x.nprobe.Load()))
 
 	total := 0
-	for _, pc := range cds[:nprobe] {
+	for _, pc := range probed {
 		total += len(c.lists[pc.ci])
 	}
 	if total < parallelScanThreshold {
 		t := newTopK(c.b, k)
-		for _, pc := range cds[:nprobe] {
+		for _, pc := range probed {
 			scanPositions(t, f, x.dim, c.lists[pc.ci])
 		}
 		return t.matches(label)
@@ -377,7 +390,7 @@ func (x *IVF) scanProbed(c *ivfClass, f fingerprint.Fingerprint, label, k int, c
 	// Large candidate sets fan the probed lists' positions out across
 	// cores, mirroring the flat scan.
 	flat := make([]int32, 0, total)
-	for _, pc := range cds[:nprobe] {
+	for _, pc := range probed {
 		flat = append(flat, c.lists[pc.ci]...)
 	}
 	final := parallelTopK(c.b, k, len(flat), func(t *topK, lo, hi int) {

@@ -333,9 +333,7 @@ func (x *IVFPQ) SearchBatch(fs []fingerprint.Fingerprint, labels []int, ks []int
 // goroutines (each list's table build and scan are independent) and
 // merge per-list heaps. Callers hold the read lock.
 func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k int, cds []cd) []fingerprint.Match {
-	nprobe := min(int(x.nprobe.Load()), c.nlist)
-	sort.Slice(cds, func(a, b int) bool { return cds[a].d2 < cds[b].d2 })
-	probed := cds[:nprobe]
+	probed := nearestLists(cds, int(x.nprobe.Load()))
 
 	total := 0
 	for _, pc := range probed {

@@ -391,3 +391,23 @@ func TestIVFPQDefaultM(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPQTable times one query's ADC table build at the dsub = 4
+// shape IVFPQ defaults to at dim 64 (M 16 subquantizers × 256
+// centroids): M DistanceRows calls of 256 four-float rows each.
+func BenchmarkPQTable(b *testing.B) {
+	const dim, m = 64, 16
+	rng := rand.New(rand.NewPCG(9, 4))
+	cb := zeroCodebook(m, dim/m)
+	for i := range cb.centroids {
+		cb.centroids[i] = float32(rng.NormFloat64())
+	}
+	res := randomFP(rng, dim)
+	tab := make([]float32, m*pqKs)
+	d2s := make([]float64, pqKs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb.table(res, tab, d2s)
+	}
+}

@@ -13,6 +13,9 @@ package kernel
 //go:noescape
 func sqDistAVX2(q, v *float32, n int) float64
 
+//go:noescape
+func distanceRowsAVX2(q, vecs *float32, dim, n int, out *float64)
+
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -45,6 +48,20 @@ func sqDistAsm(q, v []float32) float64 {
 	return sqDistAVX2(&q[0], &v[0], len(q))
 }
 
+// distanceRowsAsm is the Rows slot: the whole row loop runs in
+// assembly. Callers have validated len(q) == dim and
+// len(vecs) >= len(out)*dim.
+func distanceRowsAsm(q, vecs []float32, dim int, out []float64) {
+	if len(out) == 0 {
+		return
+	}
+	if dim == 0 {
+		clear(out) // empty rows are +0 apart, as in the reference
+		return
+	}
+	distanceRowsAVX2(&q[0], &vecs[0], dim, len(out), &out[0])
+}
+
 // registerArch appends the AVX2 path when the host supports it; called
 // once from the package init before the dispatch default is chosen.
 // The ADC slot currently points at the portable scan — table lookups
@@ -53,6 +70,6 @@ func sqDistAsm(q, v []float32) float64 {
 // caller, held to the reference by kerneltest.CheckADC/FuzzADCParity.
 func registerArch() {
 	if hasAVX2() {
-		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistAsm, ADCScan: adcScanGeneric})
+		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistAsm, Rows: distanceRowsAsm, ADCScan: adcScanGeneric})
 	}
 }

@@ -20,6 +20,13 @@ func sqDistAsm(q, v []float32) float64 {
 	return sqDistNEON(&q[0], &v[0], len(q))
 }
 
+// distanceRowsNEON is the Rows slot: a Go loop over the pair kernel.
+func distanceRowsNEON(q, vecs []float32, dim int, out []float64) {
+	for i := range out {
+		out[i] = sqDistAsm(q, vecs[i*dim:(i+1)*dim])
+	}
+}
+
 // registerArch appends the NEON path; called once from the package init
 // before the dispatch default is chosen. The ADC slot points at the
 // portable scan for the same reason as on amd64: table lookups are
@@ -27,5 +34,5 @@ func sqDistAsm(q, v []float32) float64 {
 // dispatch slot is where a TBL-based path lands without touching any
 // caller, held to the reference by kerneltest.CheckADC/FuzzADCParity.
 func registerArch() {
-	impls = append(impls, Impl{Name: "neon", SqDist: sqDistAsm, ADCScan: adcScanGeneric})
+	impls = append(impls, Impl{Name: "neon", SqDist: sqDistAsm, Rows: distanceRowsNEON, ADCScan: adcScanGeneric})
 }

@@ -44,6 +44,19 @@
 // DistanceBatch) amortize memory traffic: DistanceBatch sweeps a block
 // of vectors sized to stay cache-resident across a whole query batch,
 // so a batch of B queries costs one pass over the data instead of B.
+//
+// Each Impl carries a Rows slot alongside its pair kernel: DistanceRows
+// is one Rows call, DistanceBatch one per (query, block), so the row
+// loop runs inside the implementation rather than as one indirect
+// SqDist call per row. That matters most below 8 dims, where the
+// blocked prefix is empty and the specified order reduces to the
+// sequential tail, s = ((t0+t1)+t2)+… per row. IVFPQ's subspaces are
+// 4 floats wide, so its table builds, k-means assignment and encoding
+// are all such rows: the generic Rows unrolls dim 4 inline, and the
+// AVX2 Rows converts four rows per iteration, transposes the four
+// 4-lane term vectors so lane r holds row r's terms, and adds them in
+// tail order — four rows in the cost of one, same bits. NEON's Rows is
+// a Go loop over its pair kernel.
 package kernel
 
 import (
@@ -60,6 +73,11 @@ type Impl struct {
 	// equal-length float32 vectors, computed per the package's
 	// specified summation order.
 	SqDist func(q, v []float32) float64
+	// Rows is the contiguous-row kernel: out[i] = SqDist(q, row i of
+	// vecs) for every i in [0, len(out)), in one call rather than one
+	// per row. vecs holds at least len(out)*dim floats and len(q) ==
+	// dim; DistanceRows validates both before dispatch.
+	Rows func(q, vecs []float32, dim int, out []float64)
 	// ADCScan is the product-quantization table-scan kernel (adc.go):
 	// it scores rows of uint8 codes against one query's ADC lookup
 	// table, per the specified summation order. Arguments are validated
@@ -69,7 +87,7 @@ type Impl struct {
 
 // impls is the registry: the portable reference first, hardware paths
 // appended by per-arch init (dispatch_amd64.go).
-var impls = []Impl{{Name: "generic", SqDist: sqDistGeneric, ADCScan: adcScanGeneric}}
+var impls = []Impl{{Name: "generic", SqDist: sqDistGeneric, Rows: distanceRowsGeneric, ADCScan: adcScanGeneric}}
 
 // active is the implementation SqDist and the batched entry points
 // dispatch to. It is atomic so benchmarks can swap implementations while
@@ -143,8 +161,10 @@ func SqDistRef(q, v []float32) float64 {
 }
 
 // sqDistGeneric realises the specified summation order in portable Go.
-// The amd64 compiler emits no fused multiply-add for these expressions,
-// so each operation rounds exactly as the assembly's packed equivalents.
+// The explicit float64(d*d) conversions round each product before it is
+// added, which forbids the compiler from fusing the pair into an FMA
+// (as it otherwise may on arm64), so each operation rounds exactly as
+// the assembly's packed equivalents.
 func sqDistGeneric(q, v []float32) float64 {
 	n := len(q) &^ 7
 	var p [8]float64
@@ -152,13 +172,13 @@ func sqDistGeneric(q, v []float32) float64 {
 		qq, vv := q[j:j+8], v[j:j+8]
 		for k := 0; k < 8; k++ {
 			d := float64(qq[k]) - float64(vv[k])
-			p[k] += d * d
+			p[k] += float64(d * d)
 		}
 	}
 	s := ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
 	for j := n; j < len(q); j++ {
 		d := float64(q[j]) - float64(v[j])
-		s += d * d
+		s += float64(d * d)
 	}
 	if s != s {
 		return math.NaN() // canonical payload: see the contract above
@@ -178,18 +198,49 @@ func blockRows(dim int) int {
 	return r
 }
 
+// distanceRowsGeneric is the portable Rows slot. Below 8 dims the
+// blocked prefix is empty (nblk = 0), so the fixed tree sums eight +0
+// partials to +0 and each row's distance is its sequential tail alone:
+// ((t0+t1)+t2)+… (+0 + t0 is t0 exactly, since t0 = d*d is never -0).
+// At dim 4, the PQ subspace width, that order is unrolled inline here
+// instead of going through the blocked pair kernel.
+func distanceRowsGeneric(q, vecs []float32, dim int, out []float64) {
+	if dim != 4 {
+		for i := range out {
+			out[i] = sqDistGeneric(q, vecs[i*dim:(i+1)*dim])
+		}
+		return
+	}
+	q0, q1, q2, q3 := float64(q[0]), float64(q[1]), float64(q[2]), float64(q[3])
+	vecs = vecs[:4*len(out)]
+	for i := range out {
+		v := vecs[4*i : 4*i+4 : 4*i+4]
+		d0 := q0 - float64(v[0])
+		d1 := q1 - float64(v[1])
+		d2 := q2 - float64(v[2])
+		d3 := q3 - float64(v[3])
+		s := ((float64(d0*d0) + float64(d1*d1)) + float64(d2*d2)) + float64(d3*d3)
+		if s != s {
+			s = math.NaN() // canonical payload, as in sqDistGeneric
+		}
+		out[i] = s
+	}
+}
+
 // DistanceRows computes out[i] = SqDist(q, vecs[i*dim:(i+1)*dim]) for
 // every row i in [0, len(out)). vecs must hold at least len(out)*dim
 // floats and len(q) must equal dim. This is the contiguous-scan building
-// block the Flat index and IVF centroid ranking use.
+// block the Flat index, IVF centroid ranking and the PQ codebook (table
+// build, k-means assignment, encoding) use; it is one call into the
+// active implementation's Rows slot, not one call per row.
 func DistanceRows(q, vecs []float32, dim int, out []float64) {
 	if len(q) != dim {
 		panic(fmt.Sprintf("kernel: DistanceRows query has %d dims, want %d", len(q), dim))
 	}
-	fn := active.Load().SqDist
-	for i := range out {
-		out[i] = fn(q, vecs[i*dim:(i+1)*dim])
+	if len(vecs) < len(out)*dim {
+		panic(fmt.Sprintf("kernel: DistanceRows %d floats for %d rows of %d", len(vecs), len(out), dim))
 	}
+	active.Load().Rows(q, vecs, dim, out)
 }
 
 // DistanceGather computes out[i] = SqDist(q, vecs[pos[i]*dim:...]) —
@@ -228,19 +279,12 @@ func DistanceBatch(queries, vecs []float32, dim int, out []float64) {
 	if len(out) != nq*n {
 		panic(fmt.Sprintf("kernel: DistanceBatch out has %d cells, want %d×%d", len(out), nq, n))
 	}
-	fn := active.Load().SqDist
+	rows := active.Load().Rows
 	block := blockRows(dim)
 	for r0 := 0; r0 < n; r0 += block {
-		r1 := r0 + block
-		if r1 > n {
-			r1 = n
-		}
+		r1 := min(r0+block, n)
 		for qi := 0; qi < nq; qi++ {
-			q := queries[qi*dim : (qi+1)*dim]
-			row := out[qi*n : (qi+1)*n]
-			for r := r0; r < r1; r++ {
-				row[r] = fn(q, vecs[r*dim:(r+1)*dim])
-			}
+			rows(queries[qi*dim:(qi+1)*dim], vecs[r0*dim:r1*dim], dim, out[qi*n+r0:qi*n+r1])
 		}
 	}
 }

@@ -50,18 +50,24 @@ func TestImplParity(t *testing.T) {
 	}
 }
 
-// TestBatchParity cross-checks the batched entry points against pairwise
-// reference calls on shapes around the blocking boundaries.
+// TestBatchParity cross-checks the batched entry points and every
+// implementation's Rows slot against pairwise reference calls on shapes
+// around the blocking boundaries: every sub-8 width (4 is the PQ
+// subspace width, with its four-row AVX2 path and remainder rows),
+// the 8-wide block and realistic embedding sizes.
 func TestBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 23))
-	for _, dim := range []int{1, 3, 8, 17, 64, 129} {
-		for _, n := range []int{1, 2, 7, 255, 256, 257, 600} {
+	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 17, 64, 129} {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 255, 256, 257, 600} {
 			for _, nq := range []int{1, 2, 5} {
 				kerneltest.CheckBatch(t, randVec(rng, nq*dim), randVec(rng, n*dim), dim)
 			}
 		}
-		// Specials through the batched paths too.
+		// Specials through the batched paths too: all-special rows, and
+		// ordinary rows laced with specials every 7th float, so they
+		// drift across lane positions from row to row.
 		kerneltest.CheckBatch(t, specialVec(2*dim, 1), specialVec(9*dim, 4), dim)
+		kerneltest.CheckBatch(t, randVec(rng, 3*dim), kerneltest.Lace(randVec(rng, 40*dim), 7), dim)
 	}
 }
 
@@ -140,6 +146,27 @@ func BenchmarkSqDist(b *testing.B) {
 					s += im.SqDist(q, v)
 				}
 				sink = s
+			})
+		}
+	}
+}
+
+// BenchmarkDistanceRows times the Rows slot of every implementation over
+// a 256-row table — the PQ codebook shape at dim 4 (one subquantizer's
+// centroids) and a Flat-scan block at dim 64.
+func BenchmarkDistanceRows(b *testing.B) {
+	rng := rand.New(rand.NewPCG(5, 17))
+	const rows = 256
+	for _, dim := range []int{4, 64} {
+		q, vecs := randVec(rng, dim), randVec(rng, rows*dim)
+		out := make([]float64, rows)
+		for _, im := range kernel.Impls() {
+			b.Run(im.Name+"/dim="+strconv.Itoa(dim), func(b *testing.B) {
+				b.SetBytes(int64(4 * rows * dim))
+				for i := 0; i < b.N; i++ {
+					im.Rows(q, vecs, dim, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 			})
 		}
 	}

@@ -134,10 +134,25 @@ func CheckADC(t testing.TB, table []float32, codes []byte, m int) {
 	check("dispatched (" + kernel.Active() + ")")
 }
 
+// Lace returns a copy of v with a special value written every stride-th
+// element, cycling through Specials() — ordinary rows with NaN
+// payloads, infinities, subnormals and signed zeros landing in every
+// lane position over the sweep.
+func Lace(v []float32, stride int) []float32 {
+	sp := Specials()
+	out := append([]float32(nil), v...)
+	for i, k := 0, 0; i < len(out); i, k = i+stride, k+1 {
+		out[i] = sp[k%len(sp)]
+	}
+	return out
+}
+
 // CheckBatch fails t unless the batched entry points (DistanceBatch,
-// DistanceRows, DistanceGather) agree cell-for-cell, in exact bits,
-// with pairwise reference calls over the same queries and vectors.
-// queries and vecs are row-major dim-length rows.
+// DistanceRows, DistanceGather) and every registered implementation's
+// Rows slot agree cell-for-cell, in exact bits, with pairwise reference
+// calls over the same queries and vectors — and, for the Rows slots,
+// over a copy of the vectors laced with Specials() too. queries and
+// vecs are row-major dim-length rows.
 func CheckBatch(t testing.TB, queries, vecs []float32, dim int) {
 	t.Helper()
 	if dim <= 0 {
@@ -145,6 +160,7 @@ func CheckBatch(t testing.TB, queries, vecs []float32, dim int) {
 	}
 	nq, n := len(queries)/dim, len(vecs)/dim
 	queries, vecs = queries[:nq*dim], vecs[:n*dim]
+	laced := Lace(vecs, 5)
 	out := make([]float64, nq*n)
 	kernel.DistanceBatch(queries, vecs, dim, out)
 	rows := make([]float64, n)
@@ -167,6 +183,21 @@ func CheckBatch(t testing.TB, queries, vecs []float32, dim int) {
 			}
 			if got := gathered[n-1-i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("DistanceGather[%d,pos %d] = %v, reference %v (dim=%d)", qi, i, got, want, dim)
+			}
+		}
+		for _, v := range [][]float32{vecs, laced} {
+			for _, im := range kernel.Impls() {
+				for i := range rows {
+					rows[i] = -1
+				}
+				im.Rows(q, v, dim, rows)
+				for i := 0; i < n; i++ {
+					want := kernel.SqDistRef(q, v[i*dim:(i+1)*dim])
+					if got := rows[i]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("impl %q: Rows[%d,%d] = %v (%#016x), reference %v (%#016x) (dim=%d, n=%d)\nq = %v\nv = %v",
+							im.Name, qi, i, got, math.Float64bits(got), want, math.Float64bits(want), dim, n, q, v[i*dim:(i+1)*dim])
+					}
+				}
 			}
 		}
 	}
