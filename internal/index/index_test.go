@@ -2,8 +2,10 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -587,6 +589,59 @@ func TestNearestListsTieBreak(t *testing.T) {
 	}
 	if got := nearestLists(cds, 100); len(got) != len(cds) {
 		t.Fatalf("nprobe above nlist kept %d entries, want %d", len(got), len(cds))
+	}
+}
+
+// TestNearestListsMatchesFullSort holds nearestLists to a full sort of
+// the ranking by (d2, ci): random rankings drawn from a handful of
+// repeated distances plus NaN and ±Inf, at probe widths from 1 past
+// nlist, must give the same entries in the same order, and leave cds a
+// permutation of the ranking.
+func TestNearestListsMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 8))
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, 0.5, 1, 2, 3.25}
+	for _, nlist := range []int{1, 2, 5, 24, 25, 64, 223} {
+		for trial := 0; trial < 50; trial++ {
+			ranking := make([]cd, nlist)
+			for ci := range ranking {
+				d2 := pool[rng.IntN(len(pool))]
+				if rng.IntN(3) == 0 {
+					d2 = rng.Float64() // mostly distinct values too
+				}
+				ranking[ci] = cd{ci, d2}
+			}
+			rng.Shuffle(nlist, func(i, j int) { ranking[i], ranking[j] = ranking[j], ranking[i] })
+			want := slices.Clone(ranking)
+			slices.SortFunc(want, func(a, b cd) int {
+				if c := cmp.Compare(a.d2, b.d2); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.ci, b.ci)
+			})
+			for _, nprobe := range []int{1, 6, nlist/4 - 1, nlist / 4, nlist - 1, nlist, nlist + 5} {
+				if nprobe < 1 {
+					continue
+				}
+				cds := slices.Clone(ranking)
+				got := nearestLists(cds, nprobe)
+				w := want[:min(nprobe, nlist)]
+				if len(got) != len(w) {
+					t.Fatalf("nlist %d nprobe %d: %d entries, want %d", nlist, nprobe, len(got), len(w))
+				}
+				for i := range w {
+					if got[i].ci != w[i].ci || math.Float64bits(got[i].d2) != math.Float64bits(w[i].d2) {
+						t.Fatalf("nlist %d nprobe %d: entry %d = %+v, full sort has %+v", nlist, nprobe, i, got[i], w[i])
+					}
+				}
+				seen := make([]bool, nlist)
+				for _, c := range cds {
+					seen[c.ci] = true
+				}
+				if slices.Contains(seen, false) {
+					t.Fatalf("nlist %d nprobe %d: cds is no longer a permutation of the ranking", nlist, nprobe)
+				}
+			}
+		}
 	}
 }
 

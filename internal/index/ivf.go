@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -301,17 +300,44 @@ type cd struct {
 	d2 float64
 }
 
-// nearestLists sorts a centroid ranking nearest first — equidistant
+// cdCompare is the centroid-ranking order: nearer first, equidistant
 // centroids in ascending index order, so which lists a query probes is
-// fully determined — and returns its first nprobe entries.
+// fully determined. cmp.Compare places NaN below every number, making
+// the order total.
+func cdCompare(a, b cd) int {
+	if c := cmp.Compare(a.d2, b.d2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ci, b.ci)
+}
+
+// nearestLists returns the first nprobe (≥ 1) entries of the ranking in
+// cdCompare order, reordering cds in place. It keeps the best entries
+// seen so far in a sorted prefix, inserting each newcomer that beats
+// the prefix's last entry: a probe set small next to the ranking (6 of
+// 223 lists at the investigate defaults) costs about one compare per
+// centroid instead of a sort of the whole ranking.
 func nearestLists(cds []cd, nprobe int) []cd {
-	slices.SortFunc(cds, func(a, b cd) int {
-		if c := cmp.Compare(a.d2, b.d2); c != 0 {
-			return c
+	// cds[:kept] is the sorted best-so-far; an entry it displaces
+	// swaps into the consumed slot, so cds stays a permutation.
+	kept := 0
+	for i, c := range cds {
+		if kept == nprobe {
+			if cdCompare(c, cds[kept-1]) >= 0 {
+				continue
+			}
+			cds[i] = cds[kept-1]
+			kept--
 		}
-		return cmp.Compare(a.ci, b.ci)
-	})
-	return cds[:min(nprobe, len(cds))]
+		j := kept
+		for j > 0 && cdCompare(c, cds[j-1]) < 0 {
+			cds[j] = cds[j-1]
+			j--
+		}
+		cds[j] = c
+		kept++
+	}
+	return cds[:kept]
 }
 
 // Search returns approximately the k nearest same-label entries: it scans

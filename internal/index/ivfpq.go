@@ -366,12 +366,11 @@ func (x *IVFPQ) scanProbed(c *ivfpqClass, f fingerprint.Fingerprint, label, k in
 }
 
 // pqScratch is the per-scan working set: the query residual, the ADC
-// table, and the kernel output buffers, allocated once per (possibly
+// table, and the scan's output buffer, allocated once per (possibly
 // per-worker) scan instead of per list.
 type pqScratch struct {
 	res []float32
 	tab []float32
-	d2s []float64
 	buf [scanBlock]float64
 }
 
@@ -379,7 +378,6 @@ func newPQScratch(dim, m int) *pqScratch {
 	return &pqScratch{
 		res: make([]float32, dim),
 		tab: make([]float32, m*pqKs),
-		d2s: make([]float64, pqKs),
 	}
 }
 
@@ -396,7 +394,7 @@ func (x *IVFPQ) scanList(c *ivfpqClass, f fingerprint.Fingerprint, ci int, t *pq
 	for j := range s.res {
 		s.res[j] = f[j] - cen[j]
 	}
-	c.book.table(s.res, s.tab, s.d2s)
+	c.book.table(s.res, s.tab)
 	li := int32(ci)
 	for off := 0; off < n; {
 		nn := min(scanBlock, n-off)

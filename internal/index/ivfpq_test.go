@@ -394,7 +394,7 @@ func TestIVFPQDefaultM(t *testing.T) {
 
 // BenchmarkPQTable times one query's ADC table build at the dsub = 4
 // shape IVFPQ defaults to at dim 64 (M 16 subquantizers × 256
-// centroids): M DistanceRows calls of 256 four-float rows each.
+// centroids): one kernel.ADCTable call over 16×256 four-float rows.
 func BenchmarkPQTable(b *testing.B) {
 	const dim, m = 64, 16
 	rng := rand.New(rand.NewPCG(9, 4))
@@ -404,10 +404,9 @@ func BenchmarkPQTable(b *testing.B) {
 	}
 	res := randomFP(rng, dim)
 	tab := make([]float32, m*pqKs)
-	d2s := make([]float64, pqKs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb.table(res, tab, d2s)
+		cb.table(res, tab)
 	}
 }

@@ -118,14 +118,8 @@ func (cb *pqCodebook) encode(res []float32, code []byte, d2s []float64) {
 
 // table fills one query's ADC lookup table for a dim-length residual:
 // tab[j*pqKs+k] is the squared kernel distance between the query
-// residual's j-th subvector and centroid k of subquantizer j. d2s is a
-// ≥pqKs scratch.
-func (cb *pqCodebook) table(res []float32, tab []float32, d2s []float64) {
-	for j := 0; j < cb.m; j++ {
-		r := res[j*cb.dsub : (j+1)*cb.dsub]
-		kernel.DistanceRows(r, cb.sub(j), cb.dsub, d2s[:pqKs])
-		for k, d := range d2s[:pqKs] {
-			tab[j*pqKs+k] = float32(d)
-		}
-	}
+// residual's j-th subvector and centroid k of subquantizer j, rounded
+// to float32 — one kernel.ADCTable call for all m subquantizers.
+func (cb *pqCodebook) table(res []float32, tab []float32) {
+	kernel.ADCTable(res, cb.centroids, cb.m, tab)
 }

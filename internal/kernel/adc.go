@@ -17,8 +17,7 @@ import (
 // Bit-stability contract. ADCScan follows the same rule as SqDist:
 // every implementation MUST produce bitwise identical float64 results,
 // and the summation order is part of the specification, mirroring the
-// pair kernel so a future AVX2 gather path realises the identical
-// rounding:
+// pair kernel:
 //
 //	nblk = m &^ 7
 //	p[k] = Σ_i t[8i+k]  for 8i+k < nblk, i ascending   (8 partial sums)
@@ -27,7 +26,26 @@ import (
 //
 // where t[j] = float64(table[j*ADCKs + codes[j]]), every addition
 // IEEE-754 double rounded. A NaN result is canonicalized to the
-// math.NaN() bit pattern, exactly as SqDist canonicalizes.
+// math.NaN() bit pattern, exactly as SqDist canonicalizes. The AVX2
+// path realises this order with one VGATHERDPS per 8-subquantizer
+// block: the block's 8 code bytes, widened to dwords and offset by
+// lane k·ADCKs, index the 8 cells t[8i..8i+7], and the two VCVTPS2PD
+// halves of the gathered register feed the accumulators holding
+// p0..p3 and p4..p7.
+//
+// ADCTable builds the lookup table itself, one query at a time:
+//
+//	dsub = len(q)/m
+//	tab[j*ADCKs+k] = float32(SqDist(q[j*dsub:(j+1)*dsub],
+//	                         book row j*ADCKs+k))
+//
+// with book holding m×ADCKs rows of dsub floats (row-major by
+// subquantizer). Each cell is the pair kernel's float64 result rounded
+// once to float32, so it inherits the pair contract: a NaN cell is
+// float32(math.NaN()), bits 0x7FC00000, on every implementation.
+// At dsub 4, the default PQ subspace width, the AVX2 table kernel runs
+// the four-rows-per-iteration Rows path over all m subquantizers in
+// one call and stores its VCVTPD2PS results straight into tab.
 
 // ADCKs is the per-subquantizer codebook size. It is fixed at 256 so a
 // code element is exactly one uint8 and table rows have a constant
@@ -89,4 +107,40 @@ func ADCScan(table []float32, codes []byte, m int, out []float64) {
 func ADCScanRef(table []float32, codes []byte, m int, out []float64) {
 	checkADCArgs("ADCScanRef:", table, codes, m, out)
 	adcScanGeneric(table, codes, m, out)
+}
+
+// adcTableRows is the portable ADCTable: one rows call per
+// subquantizer into a stack buffer, each result rounded to float32.
+// The generic slot passes the portable Rows kernel; hardware slots
+// without a dedicated table path pass their own.
+func adcTableRows(rows func(q, vecs []float32, dim int, out []float64), q, book []float32, m int, tab []float32) {
+	dsub := len(q) / m
+	var d [ADCKs]float64
+	for j := 0; j < m; j++ {
+		rows(q[j*dsub:(j+1)*dsub], book[j*ADCKs*dsub:(j+1)*ADCKs*dsub], dsub, d[:])
+		t := tab[j*ADCKs : (j+1)*ADCKs]
+		for k, v := range d {
+			t[k] = float32(v)
+		}
+	}
+}
+
+func adcTableGeneric(q, book []float32, m int, tab []float32) {
+	adcTableRows(distanceRowsGeneric, q, book, m, tab)
+}
+
+// ADCTable fills one query's ADC lookup table via the active
+// implementation: tab[j*ADCKs+k] is float32 of the squared distance
+// between q's j-th subvector (dsub = len(q)/m floats) and row
+// j*ADCKs+k of book, the m×ADCKs×dsub codebook. Malformed shapes panic,
+// as in ADCScan.
+func ADCTable(q, book []float32, m int, tab []float32) {
+	if m < 1 || len(q)%m != 0 {
+		panic(fmt.Sprintf("kernel: ADCTable: query of %d dims does not split into m = %d subvectors", len(q), m))
+	}
+	if len(book) != ADCKs*len(q) || len(tab) != m*ADCKs {
+		panic(fmt.Sprintf("kernel: ADCTable: %d codebook floats and %d table cells, want m×Ks×dsub = %d and m×Ks = %d",
+			len(book), len(tab), ADCKs*len(q), m*ADCKs))
+	}
+	active.Load().ADCTable(q, book, m, tab)
 }

@@ -124,19 +124,99 @@ func TestADCScanArgChecks(t *testing.T) {
 }
 
 // TestADCImplsComplete: every registered implementation carries an ADC
-// scan — the dispatch table must never hold a nil slot the IVFPQ hot
-// path would hit.
+// scan and an ADC table build — the dispatch table must never hold a
+// nil slot the IVFPQ hot path would hit.
 func TestADCImplsComplete(t *testing.T) {
 	for _, im := range kernel.Impls() {
 		if im.ADCScan == nil {
 			t.Errorf("impl %q has no ADCScan", im.Name)
 		}
+		if im.ADCTable == nil {
+			t.Errorf("impl %q has no ADCTable", im.Name)
+		}
 	}
 }
 
-// BenchmarkADCScan scores the ADC scan across subquantizer widths at a
-// realistic list length; bytes/op is rows×m — the code bytes actually
-// touched.
+// TestADCTableParity holds every implementation's table build to the
+// float32-rounded reference distance, cell by cell, across subvector
+// widths around the dim-4 fast path and the 8-wide block, and counts
+// of subquantizers from one to past the default 16, with codebooks
+// and queries salted with specials.
+func TestADCTableParity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 5))
+	specials := kerneltest.Specials()
+	for _, dsub := range []int{0, 1, 2, 3, 4, 5, 8, 9, 16} {
+		for _, m := range []int{1, 2, 3, 16, 17} {
+			q := make([]float32, m*dsub)
+			book := make([]float32, m*kernel.ADCKs*dsub)
+			for _, v := range [][]float32{q, book} {
+				for i := range v {
+					if rng.IntN(32) == 0 {
+						v[i] = specials[rng.IntN(len(specials))]
+					} else {
+						v[i] = float32(rng.NormFloat64())
+					}
+				}
+			}
+			kerneltest.CheckADCTable(t, q, book, m)
+		}
+	}
+}
+
+// TestADCTableValues pins cells to hand-computable distances: a
+// codebook row equal to the query subvector scores 0, one a unit step
+// away along each of the 4 dims scores 4, and float32 rounding of the
+// float64 distance is exact on these small integers.
+func TestADCTableValues(t *testing.T) {
+	const m, dsub = 2, 4
+	q := []float32{1, 2, 3, 4, -1, -2, -3, -4}
+	book := make([]float32, m*kernel.ADCKs*dsub)
+	for j := 0; j < m; j++ {
+		for k := 0; k < kernel.ADCKs; k++ {
+			row := book[(j*kernel.ADCKs+k)*dsub : (j*kernel.ADCKs+k+1)*dsub]
+			for d := range row {
+				row[d] = q[j*dsub+d] + float32(k%2)
+			}
+		}
+	}
+	tab := make([]float32, m*kernel.ADCKs)
+	kernel.ADCTable(q, book, m, tab)
+	for i, v := range tab {
+		if want := float32(4 * (i % 2)); v != want {
+			t.Fatalf("cell (%d, %d) = %v, want %v", i/kernel.ADCKs, i%kernel.ADCKs, v, want)
+		}
+	}
+}
+
+// TestADCTableArgChecks: shapes that do not describe an m×ADCKs
+// codebook over an m-way split of the query panic.
+func TestADCTableArgChecks(t *testing.T) {
+	cases := []struct {
+		name    string
+		q, book []float32
+		m       int
+		tab     []float32
+	}{
+		{"zero m", nil, nil, 0, nil},
+		{"ragged query", make([]float32, 5), make([]float32, 5*kernel.ADCKs), 2, make([]float32, 2*kernel.ADCKs)},
+		{"short codebook", make([]float32, 8), make([]float32, 8*kernel.ADCKs-1), 2, make([]float32, 2*kernel.ADCKs)},
+		{"short table", make([]float32, 8), make([]float32, 8*kernel.ADCKs), 2, make([]float32, kernel.ADCKs)},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			kernel.ADCTable(c.q, c.book, c.m, c.tab)
+		}()
+	}
+}
+
+// BenchmarkADCScan times every implementation's ADC scan across
+// subquantizer widths at a realistic list length; bytes/op is rows×m —
+// the code bytes actually touched — and ns/row the cost per scored code.
 func BenchmarkADCScan(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	const rows = 4096
@@ -150,11 +230,14 @@ func BenchmarkADCScan(b *testing.B) {
 			codes[i] = byte(rng.IntN(256))
 		}
 		out := make([]float64, rows)
-		b.Run("m="+strconv.Itoa(m), func(b *testing.B) {
-			b.SetBytes(int64(rows * m))
-			for i := 0; i < b.N; i++ {
-				kernel.ADCScan(table, codes, m, out)
-			}
-		})
+		for _, im := range kernel.Impls() {
+			b.Run(im.Name+"/m="+strconv.Itoa(m), func(b *testing.B) {
+				b.SetBytes(int64(rows * m))
+				for i := 0; i < b.N; i++ {
+					im.ADCScan(table, codes, m, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
 	}
 }

@@ -16,6 +16,12 @@ func sqDistAVX2(q, v *float32, n int) float64
 //go:noescape
 func distanceRowsAVX2(q, vecs *float32, dim, n int, out *float64)
 
+//go:noescape
+func adcScanAVX2(table *float32, codes *byte, m, n int, out *float64)
+
+//go:noescape
+func adcTableAVX2(q, book *float32, m int, tab *float32)
+
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -62,14 +68,36 @@ func distanceRowsAsm(q, vecs []float32, dim int, out []float64) {
 	distanceRowsAVX2(&q[0], &vecs[0], dim, len(out), &out[0])
 }
 
+// adcScanAsm is the ADCScan slot: the row loop, one VGATHERDPS per
+// 8-subquantizer block, the reduction and the scalar tail all run in
+// assembly. Callers have validated the shapes.
+func adcScanAsm(table []float32, codes []byte, m int, out []float64) {
+	if len(out) == 0 {
+		return
+	}
+	if m == 0 {
+		clear(out) // the empty sum, as in the reference
+		return
+	}
+	adcScanAVX2(&table[0], &codes[0], m, len(out), &out[0])
+}
+
+// adcTableAsm is the ADCTable slot. At dsub 4 one assembly call builds
+// the whole table four codebook rows at a time; other widths loop the
+// Rows slot per subquantizer.
+func adcTableAsm(q, book []float32, m int, tab []float32) {
+	if len(q) != 4*m {
+		adcTableRows(distanceRowsAsm, q, book, m, tab)
+		return
+	}
+	adcTableAVX2(&q[0], &book[0], m, &tab[0])
+}
+
 // registerArch appends the AVX2 path when the host supports it; called
 // once from the package init before the dispatch default is chosen.
-// The ADC slot currently points at the portable scan — table lookups
-// are load-bound and the blocked reference already saturates them; the
-// dispatch slot is where a VPGATHERDD path lands without touching any
-// caller, held to the reference by kerneltest.CheckADC/FuzzADCParity.
 func registerArch() {
 	if hasAVX2() {
-		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistAsm, Rows: distanceRowsAsm, ADCScan: adcScanGeneric})
+		impls = append(impls, Impl{Name: "avx2", SqDist: sqDistAsm, Rows: distanceRowsAsm,
+			ADCScan: adcScanAsm, ADCTable: adcTableAsm})
 	}
 }

@@ -28,11 +28,11 @@ func distanceRowsNEON(q, vecs []float32, dim int, out []float64) {
 }
 
 // registerArch appends the NEON path; called once from the package init
-// before the dispatch default is chosen. The ADC slot points at the
-// portable scan for the same reason as on amd64: table lookups are
-// load-bound and the blocked reference already saturates them; the
-// dispatch slot is where a TBL-based path lands without touching any
-// caller, held to the reference by kerneltest.CheckADC/FuzzADCParity.
+// before the dispatch default is chosen. Both ADC slots use the
+// portable kernels: a TBL-based scan or a dedicated table path lands in
+// them without touching any caller, held to the reference by
+// kerneltest.CheckADC/CheckADCTable and the FuzzADC* targets.
 func registerArch() {
-	impls = append(impls, Impl{Name: "neon", SqDist: sqDistAsm, Rows: distanceRowsNEON, ADCScan: adcScanGeneric})
+	impls = append(impls, Impl{Name: "neon", SqDist: sqDistAsm, Rows: distanceRowsNEON,
+		ADCScan: adcScanGeneric, ADCTable: adcTableGeneric})
 }

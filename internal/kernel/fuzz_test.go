@@ -47,7 +47,9 @@ func FuzzDistanceBatchParity(f *testing.F) {
 }
 
 // FuzzADCParity drives the ADC table scan with fuzz-chosen shapes — the
-// subquantizer count m and the row count straddle the 8-row block
+// subquantizer count m runs 1..32, so one or more 8-wide gather blocks
+// with or without a scalar tail (the default M=16 is two blocks, m=12
+// one block plus a tail of 4), and the row count straddles the 8-row
 // boundary — over lookup tables populated from raw bytes, so NaN
 // payloads, infinities, and subnormals land in table cells, and fails
 // on any bitwise divergence between a registered implementation and the
@@ -56,7 +58,7 @@ func FuzzADCParity(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, byte(1), byte(3))
 	f.Add([]byte{0x7f, 0xc0, 0, 0, 0xff, 0x80, 0, 0}, byte(4), byte(9))
 	f.Fuzz(func(t *testing.T, data []byte, mb, nb byte) {
-		m := 1 + int(mb)%8
+		m := 1 + int(mb)%32
 		rows := 1 + int(nb)%300
 		vals := kerneltest.FromBytes(data)
 		if len(vals) == 0 {
@@ -73,5 +75,35 @@ func FuzzADCParity(f *testing.F) {
 			}
 		}
 		kerneltest.CheckADC(t, table, codes, m)
+	})
+}
+
+// FuzzADCTableParity drives the ADC table build with fuzz-chosen
+// shapes — m runs 1..16 and the subvector width dsub 0..12, so the
+// AVX2 dim-4 table path and the per-subquantizer Rows fallback around
+// the 8-wide block are both reached — over a query and codebook drawn
+// from raw bytes, and fails unless every cell is the float32-rounded
+// reference distance, bit for bit.
+func FuzzADCTableParity(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 192}, byte(15), byte(4))
+	f.Add([]byte{0x7f, 0xc0, 0, 0, 0xff, 0x80, 0, 0, 1, 0, 0, 0}, byte(1), byte(3))
+	f.Fuzz(func(t *testing.T, data []byte, mb, db byte) {
+		m := 1 + int(mb)%16
+		dsub := int(db) % 13
+		vals := kerneltest.FromBytes(data)
+		if len(vals) == 0 {
+			vals = []float32{0}
+		}
+		// The query takes the values from the start, the codebook the
+		// same values shifted by one, so rows and query differ.
+		q := make([]float32, m*dsub)
+		book := make([]float32, m*kernel.ADCKs*dsub)
+		for i := range q {
+			q[i] = vals[i%len(vals)]
+		}
+		for i := range book {
+			book[i] = vals[(i+1)%len(vals)]
+		}
+		kerneltest.CheckADCTable(t, q, book, m)
 	})
 }

@@ -57,6 +57,15 @@
 // 4-lane term vectors so lane r holds row r's terms, and adds them in
 // tail order — four rows in the cost of one, same bits. NEON's Rows is
 // a Go loop over its pair kernel.
+//
+// Two more slots serve the IVFPQ backend (adc.go). ADCTable builds a
+// query's M×256 lookup table in one call; the AVX2 version runs the
+// four-row dim-4 path over all M codebooks and stores the float32
+// results straight into the table. ADCScan scores rows of uint8 codes
+// against that table; the AVX2 version loads each 8-subquantizer
+// block's cells with one VGATHERDPS and accumulates them in the same
+// two 4-lane double registers, fixed tree and scalar tail as the pair
+// kernel. NEON fills both ADC slots with the portable kernels.
 package kernel
 
 import (
@@ -83,11 +92,17 @@ type Impl struct {
 	// table, per the specified summation order. Arguments are validated
 	// by the package-level ADCScan before dispatch.
 	ADCScan func(table []float32, codes []byte, m int, out []float64)
+	// ADCTable builds one query's ADC lookup table from an m×ADCKs
+	// codebook of dsub-float rows (adc.go), in one call for all m
+	// subquantizers. Arguments are validated by the package-level
+	// ADCTable before dispatch.
+	ADCTable func(q, book []float32, m int, tab []float32)
 }
 
 // impls is the registry: the portable reference first, hardware paths
 // appended by per-arch init (dispatch_amd64.go).
-var impls = []Impl{{Name: "generic", SqDist: sqDistGeneric, Rows: distanceRowsGeneric, ADCScan: adcScanGeneric}}
+var impls = []Impl{{Name: "generic", SqDist: sqDistGeneric, Rows: distanceRowsGeneric,
+	ADCScan: adcScanGeneric, ADCTable: adcTableGeneric}}
 
 // active is the implementation SqDist and the batched entry points
 // dispatch to. It is atomic so benchmarks can swap implementations while

@@ -4,7 +4,8 @@
 // multiples of the vector width, length-0/1 vectors, NaN/Inf/subnormal
 // values, and slices whose base pointers are not vector-aligned. The
 // kernel package's own property tests and the native Go fuzz targets
-// (FuzzDistanceParity, FuzzDistanceBatchParity) both build on it.
+// (FuzzDistanceParity, FuzzDistanceBatchParity, FuzzADCParity,
+// FuzzADCTableParity) all build on it.
 package kerneltest
 
 import (
@@ -99,9 +100,11 @@ func checkOrder(t testing.TB, q, v []float32) {
 
 // CheckADC fails t unless every registered implementation's ADC
 // table scan returns the reference's exact float64 bits over (table,
-// codes): same fixed reduction tree, same canonical NaN, any m. table
-// must be m×ADCKs floats; trailing code bytes short of a full m-byte
-// row are dropped.
+// codes), and over a copy of table laced with Specials() so NaN
+// payloads, infinities and subnormals reach every gather lane: same
+// fixed reduction tree, same canonical NaN, any m. table must be
+// m×ADCKs floats; trailing code bytes short of a full m-byte row are
+// dropped.
 func CheckADC(t testing.TB, table []float32, codes []byte, m int) {
 	t.Helper()
 	if m <= 0 {
@@ -110,28 +113,80 @@ func CheckADC(t testing.TB, table []float32, codes []byte, m int) {
 	rows := len(codes) / m
 	codes = codes[:rows*m]
 	want := make([]float64, rows)
-	kernel.ADCScanRef(table, codes, m, want)
 	got := make([]float64, rows)
-	check := func(name string) {
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: ADCScan[%d] = %v (%#016x), reference %v (%#016x) (m=%d, rows=%d)",
-					name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), m, rows)
+	for _, tab := range [][]float32{table, Lace(table, 5)} {
+		kernel.ADCScanRef(tab, codes, m, want)
+		check := func(name string) {
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: ADCScan[%d] = %v (%#016x), reference %v (%#016x) (m=%d, rows=%d)\ncodes = %v",
+						name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), m, rows, codes[i*m:(i+1)*m])
+				}
 			}
 		}
-	}
-	for _, im := range kernel.Impls() {
-		for i := range got {
-			got[i] = -1
+		for _, im := range kernel.Impls() {
+			fill(got, -1)
+			im.ADCScan(tab, codes, m, got)
+			check("impl " + im.Name)
 		}
-		im.ADCScan(table, codes, m, got)
-		check("impl " + im.Name)
+		fill(got, -1)
+		kernel.ADCScan(tab, codes, m, got)
+		check("dispatched (" + kernel.Active() + ")")
 	}
-	for i := range got {
-		got[i] = -1
+}
+
+// CheckADCTable fails t unless every registered implementation's ADC
+// table build, and the dispatched kernel.ADCTable, write exactly
+// float32(SqDistRef(subvector j, row j·ADCKs+k)) into every cell, over
+// book and over a copy laced with Specials(). A NaN cell must carry
+// the canonical float32 NaN bits, 0x7FC00000. book must hold m×ADCKs
+// rows of len(q)/m floats.
+func CheckADCTable(t testing.TB, q, book []float32, m int) {
+	t.Helper()
+	if m <= 0 || len(q)%m != 0 || len(book) != kernel.ADCKs*len(q) {
+		t.Fatalf("CheckADCTable: bad shape: %d query floats, m=%d, %d codebook floats", len(q), m, len(book))
 	}
-	kernel.ADCScan(table, codes, m, got)
-	check("dispatched (" + kernel.Active() + ")")
+	dsub := len(q) / m
+	want := make([]float32, m*kernel.ADCKs)
+	got := make([]float32, len(want))
+	for _, b := range [][]float32{book, Lace(book, 5)} {
+		for j := 0; j < m; j++ {
+			for k := 0; k < kernel.ADCKs; k++ {
+				row := j*kernel.ADCKs + k
+				w := float32(kernel.SqDistRef(q[j*dsub:(j+1)*dsub], b[row*dsub:(row+1)*dsub]))
+				if w != w && math.Float32bits(w) != 0x7FC00000 {
+					t.Fatalf("reference cell (%d, %d) is NaN %#08x, not the canonical 0x7fc00000", j, k, math.Float32bits(w))
+				}
+				want[row] = w
+			}
+		}
+		check := func(name string) {
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					j, k := i/kernel.ADCKs, i%kernel.ADCKs
+					t.Fatalf("%s: ADCTable cell (%d, %d) = %v (%#08x), reference %v (%#08x) (m=%d, dsub=%d)\nq_j = %v\nrow = %v",
+						name, j, k, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]), m, dsub,
+						q[j*dsub:(j+1)*dsub], b[i*dsub:(i+1)*dsub])
+				}
+			}
+		}
+		for _, im := range kernel.Impls() {
+			fill(got, -1)
+			im.ADCTable(q, b, m, got)
+			check("impl " + im.Name)
+		}
+		fill(got, -1)
+		kernel.ADCTable(q, b, m, got)
+		check("dispatched (" + kernel.Active() + ")")
+	}
+}
+
+// fill sets every element of s to v, so a kernel that skips a cell
+// cannot pass on a stale value.
+func fill[T float32 | float64](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // Lace returns a copy of v with a special value written every stride-th
@@ -187,9 +242,7 @@ func CheckBatch(t testing.TB, queries, vecs []float32, dim int) {
 		}
 		for _, v := range [][]float32{vecs, laced} {
 			for _, im := range kernel.Impls() {
-				for i := range rows {
-					rows[i] = -1
-				}
+				fill(rows, -1)
 				im.Rows(q, v, dim, rows)
 				for i := 0; i < n; i++ {
 					want := kernel.SqDistRef(q, v[i*dim:(i+1)*dim])
