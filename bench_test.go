@@ -310,25 +310,44 @@ func BenchmarkAblationEPCSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKernels isolates the two compute paths of one GEMM (the
-// fast-math-vs-not distinction behind Figure 6).
+// BenchmarkAblationKernels isolates the two compute paths (the
+// fast-math-vs-not distinction behind Figure 6) on the three GEMMs of one
+// convolution at the shape of Table I/8's second layer: 16 filters over a
+// 16×3×3 receptive field at 28×28 outputs. MatMul is the forward pass,
+// MatMulTransB the weight gradient and MatMulTransA the input delta.
 func BenchmarkAblationKernels(b *testing.B) {
+	const filters, field, pixels = 16, 144, 784
 	rng := rand.New(rand.NewPCG(13, 13))
-	a := tensor.New(64, 288)
-	bb := tensor.New(288, 784)
-	c := tensor.New(64, 784)
-	a.FillUniform(rng, -1, 1)
-	bb.FillUniform(rng, -1, 1)
-	b.Run("accelerated", func(b *testing.B) {
-		for b.Loop() {
-			tensor.MatMul(tensor.Accelerated, a, bb, c)
+	weights := tensor.New(filters, field)
+	col := tensor.New(field, pixels)
+	delta := tensor.New(filters, pixels)
+	for _, t := range []*tensor.Tensor{weights, col, delta} {
+		t.FillUniform(rng, -1, 1)
+	}
+	forms := []struct {
+		name   string
+		run    func(tensor.MatMulMode, *tensor.Tensor, *tensor.Tensor, *tensor.Tensor)
+		a, bb  *tensor.Tensor
+		cm, cn int
+	}{
+		{"matmul", tensor.MatMul, weights, col, filters, pixels},
+		{"transA", tensor.MatMulTransA, weights, delta, field, pixels},
+		{"transB", tensor.MatMulTransB, delta, col, filters, field},
+	}
+	for _, f := range forms {
+		c := tensor.New(f.cm, f.cn)
+		for _, mode := range []struct {
+			name string
+			mode tensor.MatMulMode
+		}{{"accelerated", tensor.Accelerated}, {"enclave", tensor.EnclaveScalar}} {
+			b.Run(f.name+"/"+mode.name, func(b *testing.B) {
+				for b.Loop() {
+					f.run(mode.mode, f.a, f.bb, c)
+				}
+				b.ReportMetric(2*float64(filters*field*pixels)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
 		}
-	})
-	b.Run("enclave", func(b *testing.B) {
-		for b.Loop() {
-			tensor.MatMul(tensor.EnclaveScalar, a, bb, c)
-		}
-	})
+	}
 }
 
 // BenchmarkSealThroughput measures participant-side record sealing — the

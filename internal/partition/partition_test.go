@@ -1,8 +1,13 @@
 package partition
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +152,46 @@ func TestTrainBatchLearns(t *testing.T) {
 	}
 	if top1 < 0.5 || top2 < top1 {
 		t.Fatalf("accuracy top1=%v top2=%v", top1, top2)
+	}
+}
+
+// TestTrainBatchParamDigest pins the exact bits of the paper's FrontNet
+// configuration (Table I, split 2) after a few partitioned training steps.
+// The digest was taken from the plain per-element GEMM loops; any kernel
+// that changes a single accumulation order changes it. It holds on amd64,
+// where every float32 product and sum rounds on its own; arm64 and other
+// targets fuse multiply-adds and so train to different, equally
+// self-consistent bits.
+func TestTrainBatchParamDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest taken on amd64; %s fuses multiply-adds", runtime.GOARCH)
+	}
+	const want = "71241ca26ae5251cc659891a88d1613c356af9e6ed50cc2c01f6c03c6836e015"
+	net, err := nn.Build(nn.TableI(8), rand.New(rand.NewPCG(21, 22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTrainer(t, net, 2)
+	in, labels := trainingBatch(net, 8, 23)
+	for s := 0; s < 3; s++ {
+		if _, err := tr.TrainBatch(in, labels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := sha256.New()
+	var word [4]byte
+	for _, l := range net.Layers() {
+		if pl, ok := l.(nn.ParamLayer); ok {
+			for _, p := range pl.Params() {
+				for _, v := range p.Data() {
+					binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+					h.Write(word[:])
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("parameter digest %s, want %s", got, want)
 	}
 }
 

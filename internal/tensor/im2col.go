@@ -38,12 +38,29 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
+// colRange returns the output columns [lo,hi) whose input column
+// wOff + w*Stride - Pad falls inside the image, for the kernel column
+// wOff. Columns before lo and from hi on read padding.
+func (g ConvGeom) colRange(wOff int) (lo, hi int) {
+	outW := g.OutW()
+	if d := g.Pad - wOff; d > 0 {
+		lo = min((d+g.Stride-1)/g.Stride, outW)
+	}
+	hi = lo
+	if e := g.InW - 1 + g.Pad - wOff; e >= 0 {
+		hi = max(min(e/g.Stride+1, outW), lo)
+	}
+	return lo, hi
+}
+
 // Im2Col unrolls a CHW image into the (ColRows × ColCols) matrix whose
 // product with a (filters × ColRows) weight matrix yields the convolution
 // output. dst must have length ColRows*ColCols. Padding reads as zero.
 //
 // This mirrors Darknet's im2col_cpu, which the paper's prototype (built on
-// Darknet, §V) uses for its convolutional layers.
+// Darknet, §V) uses for its convolutional layers. Each output row is a
+// zero prefix, one run of image pixels (a single copy at stride 1) and a
+// zero suffix.
 func Im2Col(g ConvGeom, img []float32, dst []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	if len(img) != g.InC*g.InH*g.InW {
@@ -57,24 +74,26 @@ func Im2Col(g ConvGeom, img []float32, dst []float32) {
 		wOff := c % g.KSize
 		hOff := (c / g.KSize) % g.KSize
 		imC := c / g.KSize / g.KSize
+		lo, hi := g.colRange(wOff)
 		for h := 0; h < outH; h++ {
 			imRow := hOff + h*g.Stride - g.Pad
-			rowBase := (imC*g.InH + imRow) * g.InW
-			dstBase := (c*outH + h) * outW
+			row := dst[(c*outH+h)*outW : (c*outH+h+1)*outW]
 			if imRow < 0 || imRow >= g.InH {
-				for w := 0; w < outW; w++ {
-					dst[dstBase+w] = 0
-				}
+				clear(row)
 				continue
 			}
-			for w := 0; w < outW; w++ {
-				imCol := wOff + w*g.Stride - g.Pad
-				if imCol < 0 || imCol >= g.InW {
-					dst[dstBase+w] = 0
+			clear(row[:lo])
+			if lo < hi {
+				src := img[(imC*g.InH+imRow)*g.InW+wOff+lo*g.Stride-g.Pad:]
+				if g.Stride == 1 {
+					copy(row[lo:hi], src)
 				} else {
-					dst[dstBase+w] = img[rowBase+imCol]
+					for w := lo; w < hi; w++ {
+						row[w] = src[(w-lo)*g.Stride]
+					}
 				}
 			}
+			clear(row[hi:])
 		}
 	}
 }
@@ -82,7 +101,9 @@ func Im2Col(g ConvGeom, img []float32, dst []float32) {
 // Col2Im scatters a column matrix back into a CHW image, accumulating
 // overlapping contributions. It is the adjoint of Im2Col and is used to
 // backpropagate deltas through convolutions. img must be zeroed by the
-// caller if a plain transpose-scatter is wanted.
+// caller if a plain transpose-scatter is wanted. Every image element
+// receives its contributions in the same (row, column) order as a scan
+// of the whole column matrix would give them.
 func Col2Im(g ConvGeom, col []float32, img []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	if len(img) != g.InC*g.InH*g.InW {
@@ -96,19 +117,23 @@ func Col2Im(g ConvGeom, col []float32, img []float32) {
 		wOff := c % g.KSize
 		hOff := (c / g.KSize) % g.KSize
 		imC := c / g.KSize / g.KSize
+		lo, hi := g.colRange(wOff)
 		for h := 0; h < outH; h++ {
 			imRow := hOff + h*g.Stride - g.Pad
-			if imRow < 0 || imRow >= g.InH {
+			if imRow < 0 || imRow >= g.InH || lo == hi {
 				continue
 			}
-			rowBase := (imC*g.InH + imRow) * g.InW
-			colBase := (c*outH + h) * outW
-			for w := 0; w < outW; w++ {
-				imCol := wOff + w*g.Stride - g.Pad
-				if imCol < 0 || imCol >= g.InW {
-					continue
+			row := col[(c*outH+h)*outW : (c*outH+h+1)*outW]
+			dst := img[(imC*g.InH+imRow)*g.InW+wOff+lo*g.Stride-g.Pad:]
+			if g.Stride == 1 {
+				dst = dst[:hi-lo]
+				for w, v := range row[lo:hi] {
+					dst[w] += v
 				}
-				img[rowBase+imCol] += col[colBase+w]
+			} else {
+				for w := lo; w < hi; w++ {
+					dst[(w-lo)*g.Stride] += row[w]
+				}
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -236,11 +239,13 @@ func TestMatMulTransA(t *testing.T) {
 		}
 	}
 	want := matMulNaive(at, b.Data(), m, k, n)
-	c := New(m, n)
-	MatMulTransA(Accelerated, a, b, c)
-	for i := range want {
-		if diff := math.Abs(float64(c.Data()[i] - want[i])); diff > 1e-3 {
-			t.Fatalf("element %d differs by %v", i, diff)
+	for _, mode := range []MatMulMode{Accelerated, EnclaveScalar} {
+		c := New(m, n)
+		MatMulTransA(mode, a, b, c)
+		for i := range want {
+			if diff := math.Abs(float64(c.Data()[i] - want[i])); diff > 1e-3 {
+				t.Fatalf("mode %d element %d differs by %v", mode, i, diff)
+			}
 		}
 	}
 }
@@ -286,7 +291,7 @@ func TestMatMulModesAgree(t *testing.T) {
 		MatMul(Accelerated, a, b, c1)
 		MatMul(EnclaveScalar, a, b, c2)
 		for i := range c1.Data() {
-			if math.Abs(float64(c1.Data()[i]-c2.Data()[i])) > 1e-4 {
+			if !sameBits(c1.Data()[i], c2.Data()[i]) {
 				return false
 			}
 		}
@@ -295,6 +300,164 @@ func TestMatMulModesAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refMatMul, refMatMulTransA and refMatMulTransB are the plain per-row
+// loops the tiled kernels must reproduce bit for bit: every C element
+// takes its products in p order, MatMul and MatMulTransA skip zero A
+// elements, and MatMulTransB sums each dot product from zero before
+// adding it to C once.
+func refMatMul(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		crow := c[i*n : i*n+n]
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 {
+				continue
+			}
+			brow := b[p*n : p*n+n]
+			for j := 0; j < n; j++ {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+func refMatMulTransA(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		crow := c[i*n : i*n+n]
+		for p := 0; p < k; p++ {
+			av := a[p*m+i]
+			if av == 0 {
+				continue
+			}
+			brow := b[p*n : p*n+n]
+			for j := 0; j < n; j++ {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+func refMatMulTransB(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		arow := a[i*k : i*k+k]
+		crow := c[i*n : i*n+n]
+		for j := 0; j < n; j++ {
+			brow := b[j*k : j*k+k]
+			var s float32
+			for p := 0; p < k; p++ {
+				s += arow[p] * brow[p]
+			}
+			crow[j] += s
+		}
+	}
+}
+
+// sameBits reports whether x and y are the same float32, bit for bit.
+// NaNs match as a class: when two NaNs meet in an add, which payload
+// survives depends on the operand order the compiler picks, in the
+// reference loops as much as in the kernels.
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// gemmSpecials are the values that expose a changed accumulation order
+// or a dropped zero skip: NaN, both infinities, both zeros, subnormals
+// and magnitudes whose products overflow.
+var gemmSpecials = []float32{
+	float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -1e-40,
+	math.MaxFloat32, -3e38,
+}
+
+// gemmFill fills v with uniform values in [-2,2), about a quarter of them
+// zero and one in every specialEvery a gemmSpecials value (none when
+// specialEvery is 0).
+func gemmFill(rng *rand.Rand, v []float32, specialEvery int) {
+	for i := range v {
+		switch {
+		case specialEvery > 0 && rng.IntN(specialEvery) == 0:
+			v[i] = gemmSpecials[rng.IntN(len(gemmSpecials))]
+		case rng.IntN(4) == 0:
+			v[i] = 0
+		default:
+			v[i] = float32(rng.Float64()*4 - 2)
+		}
+	}
+}
+
+// checkGEMMParity runs all three products in both modes on A, B and C
+// filled by fill and fails unless each matches its reference loop bit
+// for bit.
+func checkGEMMParity(t *testing.T, m, k, n int, fill func([]float32)) {
+	t.Helper()
+	ad, bd, c0 := make([]float32, m*k), make([]float32, k*n), make([]float32, m*n)
+	fill(ad)
+	fill(bd)
+	fill(c0)
+	forms := []struct {
+		name string
+		a, b *Tensor
+		run  func(MatMulMode, *Tensor, *Tensor, *Tensor)
+		ref  func(a, b, c []float32, m, k, n int)
+	}{
+		{"MatMul", FromSlice(ad, m, k), FromSlice(bd, k, n), MatMul, refMatMul},
+		{"MatMulTransA", FromSlice(ad, k, m), FromSlice(bd, k, n), MatMulTransA, refMatMulTransA},
+		{"MatMulTransB", FromSlice(ad, m, k), FromSlice(bd, n, k), MatMulTransB, refMatMulTransB},
+	}
+	for _, f := range forms {
+		want := append([]float32(nil), c0...)
+		f.ref(ad, bd, want, m, k, n)
+		for _, mode := range []MatMulMode{Accelerated, EnclaveScalar} {
+			c := FromSlice(append([]float32(nil), c0...), m, n)
+			f.run(mode, f.a, f.b, c)
+			for i, got := range c.Data() {
+				if !sameBits(got, want[i]) {
+					t.Fatalf("%s mode %d %dx%dx%d: C[%d,%d] = %v (%#08x), reference %v (%#08x)",
+						f.name, mode, m, k, n, i/n, i%n, got, math.Float32bits(got), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMBitExact holds every product form in both modes to its plain
+// reference loop, bit for bit, over every m and n in 1..33 (all tile
+// remainders), a spread of reduction lengths, zeros in A and specials
+// laced into A, B and C, plus shapes large enough to be split across
+// workers.
+func TestGEMMBitExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 42))
+	for m := 1; m <= 33; m++ {
+		for n := 1; n <= 33; n++ {
+			for _, k := range []int{1, 3, 4, 5, 8, 13, 33} {
+				every := []int{0, 128, 16}[(m+n+k)%3]
+				checkGEMMParity(t, m, k, n, func(v []float32) { gemmFill(rng, v, every) })
+			}
+		}
+	}
+	for _, s := range [][3]int{{16, 144, 784}, {10, 72, 49}, {37, 50, 41}, {6, 2, 1 << 13}, {9, 700, 11}} {
+		checkGEMMParity(t, s[0], s[1], s[2], func(v []float32) { gemmFill(rng, v, 512) })
+	}
+}
+
+func TestMatMulTransARequiresRank2(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MatMulTransA requires rank-2") {
+			t.Fatalf("recovered %v, want a rank-2 panic", r)
+		}
+	}()
+	MatMulTransA(Accelerated, New(3, 2, 2), New(3, 4), New(2, 4))
+}
+
+func TestMatMulTransBRequiresRank2(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MatMulTransB requires rank-2") {
+			t.Fatalf("recovered %v, want a rank-2 panic", r)
+		}
+	}()
+	MatMulTransB(EnclaveScalar, New(2, 3), New(4, 3, 1), New(2, 4))
 }
 
 func TestConvGeom(t *testing.T) {
@@ -417,17 +580,129 @@ func TestCol2ImAdjoint(t *testing.T) {
 }
 
 func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 100, 1023} {
-		hits := make([]int32, n)
-		parallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, h)
+	for _, step := range []int{1, 2, 4} {
+		for _, n := range []int{0, 1, 5, 100, 1023} {
+			hits := make([]int32, n)
+			parallelFor(n, step, serialWork, func(lo, hi int) {
+				if lo%step != 0 {
+					t.Errorf("step %d n=%d: chunk starts at %d", step, n, lo)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("step %d n=%d index %d visited %d times", step, n, i, h)
+				}
 			}
 		}
+	}
+}
+
+// refIm2Col and refCol2Im are the per-element loops the run-copy kernels
+// replace: every column index is bounds-tested on its own.
+func refIm2Col(g ConvGeom, img, dst []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	for c := 0; c < g.ColRows(); c++ {
+		wOff, hOff, imC := c%g.KSize, (c/g.KSize)%g.KSize, c/g.KSize/g.KSize
+		for h := 0; h < outH; h++ {
+			imRow := hOff + h*g.Stride - g.Pad
+			for w := 0; w < outW; w++ {
+				imCol := wOff + w*g.Stride - g.Pad
+				v := float32(0)
+				if imRow >= 0 && imRow < g.InH && imCol >= 0 && imCol < g.InW {
+					v = img[(imC*g.InH+imRow)*g.InW+imCol]
+				}
+				dst[(c*outH+h)*outW+w] = v
+			}
+		}
+	}
+}
+
+func refCol2Im(g ConvGeom, col, img []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	for c := 0; c < g.ColRows(); c++ {
+		wOff, hOff, imC := c%g.KSize, (c/g.KSize)%g.KSize, c/g.KSize/g.KSize
+		for h := 0; h < outH; h++ {
+			imRow := hOff + h*g.Stride - g.Pad
+			for w := 0; w < outW; w++ {
+				imCol := wOff + w*g.Stride - g.Pad
+				if imRow >= 0 && imRow < g.InH && imCol >= 0 && imCol < g.InW {
+					img[(imC*g.InH+imRow)*g.InW+imCol] += col[(c*outH+h)*outW+w]
+				}
+			}
+		}
+	}
+}
+
+// TestIm2ColCol2ImMatchReference holds both layout kernels to the
+// per-element reference, bit for bit, over strides 1–3, padding 0–2,
+// kernel sizes 1–5 and images from smaller than the kernel up to 9×8.
+// Col2Im accumulates into a non-zero image, so its summation order is
+// checked too.
+func TestIm2ColCol2ImMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 44))
+	for ks := 1; ks <= 5; ks++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 2; pad++ {
+				for _, hw := range [][2]int{{1, 1}, {2, 3}, {5, 5}, {7, 4}, {9, 8}} {
+					g := ConvGeom{InC: 1 + (ks+hw[0])%3, InH: hw[0], InW: hw[1], KSize: ks, Stride: stride, Pad: pad}
+					if g.Validate() != nil {
+						continue
+					}
+					img := make([]float32, g.InC*g.InH*g.InW)
+					col := make([]float32, g.ColRows()*g.ColCols())
+					gemmFill(rng, img, 0)
+					gemmFill(rng, col, 0)
+					got, want := make([]float32, len(col)), make([]float32, len(col))
+					for i := range got {
+						got[i], want[i] = -1, -2 // every cell must be written
+					}
+					Im2Col(g, img, got)
+					refIm2Col(g, img, want)
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("Im2Col %+v: dst[%d] = %v, reference %v", g, i, got[i], want[i])
+						}
+					}
+					gotImg := append([]float32(nil), img...)
+					wantImg := append([]float32(nil), img...)
+					Col2Im(g, col, gotImg)
+					refCol2Im(g, col, wantImg)
+					for i := range wantImg {
+						if !sameBits(gotImg[i], wantImg[i]) {
+							t.Fatalf("Col2Im %+v: img[%d] = %v, reference %v", g, i, gotImg[i], wantImg[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchConvGeom is the second convolution of Table I/8: 16 channels of
+// 28×28 under a 3×3 kernel with same padding.
+var benchConvGeom = ConvGeom{InC: 16, InH: 28, InW: 28, KSize: 3, Stride: 1, Pad: 1}
+
+func BenchmarkIm2Col(b *testing.B) {
+	g := benchConvGeom
+	img := make([]float32, g.InC*g.InH*g.InW)
+	gemmFill(rand.New(rand.NewPCG(45, 46)), img, 0)
+	dst := make([]float32, g.ColRows()*g.ColCols())
+	b.SetBytes(int64(4 * len(dst)))
+	for b.Loop() {
+		Im2Col(g, img, dst)
+	}
+}
+
+func BenchmarkCol2Im(b *testing.B) {
+	g := benchConvGeom
+	col := make([]float32, g.ColRows()*g.ColCols())
+	gemmFill(rand.New(rand.NewPCG(47, 48)), col, 0)
+	img := make([]float32, g.InC*g.InH*g.InW)
+	b.SetBytes(int64(4 * len(col)))
+	for b.Loop() {
+		Col2Im(g, col, img)
 	}
 }
